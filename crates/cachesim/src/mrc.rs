@@ -68,40 +68,6 @@ impl MissRateCurve {
         m0 + t * (m1 - m0)
     }
 
-    /// Like [`MissRateCurve::miss_rate`], seeded with the bracketing
-    /// segment a previous probe found.
-    ///
-    /// `hint` is the upper index of the last bracketing segment (what
-    /// `partition_point` returned last time). When the query still falls
-    /// in that segment — the common case for a damped fixed point, where
-    /// successive occupancies move by ever-smaller steps — the binary
-    /// search is skipped entirely. A stale or out-of-range hint falls
-    /// back to the full search, so the result is *always* bit-identical
-    /// to [`MissRateCurve::miss_rate`]: the hint validity test
-    /// (`points[hint-1].0 <= bytes < points[hint].0`) is exactly the
-    /// `partition_point` postcondition on a strictly-increasing capacity
-    /// axis (duplicates are deduped at construction), hence both paths
-    /// select the same segment and evaluate the same interpolation.
-    /// `hint` is updated to the segment actually used.
-    pub fn miss_rate_hinted(&self, bytes: u64, hint: &mut usize) -> f64 {
-        let pts = &self.points;
-        if bytes <= pts[0].0 {
-            return pts[0].1;
-        }
-        if bytes >= pts[pts.len() - 1].0 {
-            return pts[pts.len() - 1].1;
-        }
-        let mut idx = *hint;
-        if !(idx >= 1 && idx < pts.len() && pts[idx - 1].0 <= bytes && bytes < pts[idx].0) {
-            idx = pts.partition_point(|&(c, _)| c <= bytes);
-        }
-        *hint = idx;
-        let (c0, m0) = pts[idx - 1];
-        let (c1, m1) = pts[idx];
-        let t = ((bytes as f64).ln() - (c0 as f64).ln()) / ((c1 as f64).ln() - (c0 as f64).ln());
-        m0 + t * (m1 - m0)
-    }
-
     /// The smallest sampled capacity at which the miss rate first drops to
     /// within `epsilon` of its minimum — a practical "working set size".
     pub fn working_set_bytes(&self, epsilon: f64) -> u64 {
@@ -121,6 +87,69 @@ impl MissRateCurve {
     /// synthetic curves should satisfy this).
     pub fn is_monotone(&self) -> bool {
         self.points.windows(2).all(|w| w[1].1 <= w[0].1 + 1e-12)
+    }
+}
+
+/// A [`MissRateCurve`] prepared for repeated probing: the curve plus
+/// `ln(capacity)` of every point, so a probe computes only `ln(bytes)`.
+///
+/// [`MissRateCurve::miss_rate`] evaluates
+/// `(ln(bytes) − ln(c0)) / (ln(c1) − ln(c0))` with the two point
+/// logarithms recomputed on every call; the table holds exactly those
+/// values, so the prepared probe applies the same operations to the same
+/// operands and returns the same bits. The table lives here rather than
+/// in the curve so the serialized form of `MissRateCurve` stays as it is.
+#[derive(Clone, Debug)]
+pub struct PreparedMrc {
+    curve: MissRateCurve,
+    /// `ln(capacity)` of each point, indexed like `curve.points`.
+    ln_cap: Vec<f64>,
+}
+
+impl PreparedMrc {
+    /// Prepare `curve` for probing.
+    pub fn new(curve: MissRateCurve) -> PreparedMrc {
+        let ln_cap = curve.points.iter().map(|&(c, _)| (c as f64).ln()).collect();
+        PreparedMrc { curve, ln_cap }
+    }
+
+    /// The underlying curve.
+    pub fn curve(&self) -> &MissRateCurve {
+        &self.curve
+    }
+
+    /// [`MissRateCurve::miss_rate`], seeded with the bracketing segment a
+    /// previous probe found.
+    ///
+    /// `hint` is the upper index of the last bracketing segment (what
+    /// `partition_point` returned last time). When the query still falls
+    /// in that segment — the common case for a damped fixed point, where
+    /// successive occupancies move by ever-smaller steps — the binary
+    /// search is skipped. A stale or out-of-range hint falls back to the
+    /// full search, so the result is *always* bit-identical to
+    /// `miss_rate`: the hint validity test
+    /// (`points[hint-1].0 <= bytes < points[hint].0`) is exactly the
+    /// `partition_point` postcondition on a strictly-increasing capacity
+    /// axis (duplicates are deduped at construction), hence both paths
+    /// select the same segment and evaluate the same interpolation.
+    /// `hint` is updated to the segment actually used.
+    pub fn miss_rate_hinted(&self, bytes: u64, hint: &mut usize) -> f64 {
+        let pts = &self.curve.points;
+        if bytes <= pts[0].0 {
+            return pts[0].1;
+        }
+        if bytes >= pts[pts.len() - 1].0 {
+            return pts[pts.len() - 1].1;
+        }
+        let mut idx = *hint;
+        if !(idx >= 1 && idx < pts.len() && pts[idx - 1].0 <= bytes && bytes < pts[idx].0) {
+            idx = pts.partition_point(|&(c, _)| c <= bytes);
+        }
+        *hint = idx;
+        let (m0, m1) = (pts[idx - 1].1, pts[idx].1);
+        let (l0, l1) = (self.ln_cap[idx - 1], self.ln_cap[idx]);
+        let t = ((bytes as f64).ln() - l0) / (l1 - l0);
+        m0 + t * (m1 - m0)
     }
 }
 

@@ -39,10 +39,6 @@ pub struct SharedCacheSolution {
 /// insertion rate at its current share, move shares toward
 /// insertion-proportional targets, and renormalize to exactly fill the
 /// cache. Returns the largest per-app change in bytes.
-///
-/// Exposed so callers with *additional* coupled state (the machine engine
-/// couples occupancy with CPI and DRAM latency) can interleave their own
-/// updates between occupancy steps instead of nesting full solves.
 pub fn occupancy_step(capacity_bytes: u64, apps: &[SharedApp], occ: &mut [f64]) -> f64 {
     debug_assert_eq!(apps.len(), occ.len());
     let ins: Vec<f64> = apps
@@ -50,40 +46,57 @@ pub fn occupancy_step(capacity_bytes: u64, apps: &[SharedApp], occ: &mut [f64]) 
         .zip(occ.iter())
         .map(|(a, &o)| a.access_rate.max(0.0) * a.mrc.miss_rate(o as u64).max(1e-9))
         .collect();
-    occupancy_step_rates(capacity_bytes, &ins, occ)
+    occupancy_step_rates(capacity_bytes, &ins, &vec![1; ins.len()], occ)
 }
 
-/// The allocation-free core of [`occupancy_step`]: one damped update given
-/// per-app insertion rates `ins` the caller already computed (access rate ×
-/// miss rate at the current share, both floored as in [`occupancy_step`]).
+/// The allocation-free core of [`occupancy_step`], over groups of
+/// identical apps: entry `i` stands for `counts[i]` apps that each insert
+/// at `ins[i]` (access rate × miss rate at the current share, both
+/// floored as in [`occupancy_step`]) and each hold `occ[i]` bytes.
 ///
-/// Callers that keep their own flat per-instance state — the machine
-/// engine's struct-of-arrays solver scratch — fill a reusable `ins` buffer
-/// with incremental MRC probes and call this directly, so the hot
-/// fixed-point loop allocates nothing. [`occupancy_step`] is a thin
-/// wrapper over this function, which keeps both paths numerically
-/// identical by construction.
-pub fn occupancy_step_rates(capacity_bytes: u64, ins: &[f64], occ: &mut [f64]) -> f64 {
+/// The result is bit-identical to the flat step over the expanded
+/// per-app slices (each entry repeated `counts[i]` times). Identical apps
+/// get identical updates, since the update is elementwise; the two sums
+/// add each entry's value `counts[i]` times in entry order, which is the
+/// flat slice's addition order; the floor uses the total app count; and
+/// a maximum does not change when a value repeats. The machine engine
+/// calls this with one entry per co-runner group, so the hot fixed-point
+/// loop does per-group work and allocates nothing; [`occupancy_step`]
+/// calls it with counts of 1.
+pub fn occupancy_step_rates(
+    capacity_bytes: u64,
+    ins: &[f64],
+    counts: &[usize],
+    occ: &mut [f64],
+) -> f64 {
     debug_assert_eq!(ins.len(), occ.len());
-    let n = ins.len();
+    debug_assert_eq!(counts.len(), occ.len());
+    let n: usize = counts.iter().sum();
     let cap = capacity_bytes as f64;
     const DAMPING: f64 = 0.5;
     // Floor keeps every app minimally resident, matching the observation
     // that even tiny-footprint apps retain their hot lines under LRU.
     let floor = (cap * 1e-4).min(cap / (4.0 * n as f64));
+    // Sum in the flat per-app order: each value `count` times.
+    let flat_sum = |v: &[f64]| -> f64 {
+        v.iter()
+            .zip(counts)
+            .flat_map(|(&x, &c)| std::iter::repeat_n(x, c))
+            .sum()
+    };
 
-    let ins_total: f64 = ins.iter().sum();
+    let ins_total = flat_sum(ins);
     if ins_total <= 0.0 {
         return 0.0;
     }
     let mut max_delta = 0.0f64;
-    for i in 0..n {
-        let target = (cap * ins[i] / ins_total).max(floor);
-        let next = occ[i] + DAMPING * (target - occ[i]);
-        max_delta = max_delta.max((next - occ[i]).abs());
-        occ[i] = next;
+    for (o, &i) in occ.iter_mut().zip(ins) {
+        let target = (cap * i / ins_total).max(floor);
+        let next = *o + DAMPING * (target - *o);
+        max_delta = max_delta.max((next - *o).abs());
+        *o = next;
     }
-    let sum: f64 = occ.iter().sum();
+    let sum = flat_sum(occ);
     for o in occ.iter_mut() {
         *o *= cap / sum;
     }

@@ -1,8 +1,8 @@
 //! Property-based tests for cache-simulation invariants.
 
 use coloc_cachesim::{
-    shared_occupancy, CacheConfig, FastStackAnalyzer, MissRateCurve, PlruCache, SetAssocCache,
-    SharedApp, StackAnalyzer, StackDistanceDist,
+    occupancy_step_rates, shared_occupancy, CacheConfig, FastStackAnalyzer, MissRateCurve,
+    PlruCache, PreparedMrc, SetAssocCache, SharedApp, StackAnalyzer, StackDistanceDist,
 };
 use proptest::prelude::*;
 
@@ -147,27 +147,77 @@ proptest! {
         prop_assert!(c.occupancy_lines(0) + c.occupancy_lines(1) <= lines as u64);
     }
 
-    /// The hinted MRC lookup is bit-identical to the plain lookup for any
-    /// curve, any probe sequence, and any (possibly stale) starting hint —
-    /// including probes pinned to segment boundaries, where an off-by-one
-    /// in the hint-validity test would hide.
+    /// The prepared curve's hinted probe (log-capacity table plus
+    /// bracketing hint) is bit-identical to the plain
+    /// `MissRateCurve::miss_rate` for any curve, any probe sequence, and
+    /// any (possibly stale) starting hint — including probes pinned to
+    /// segment boundaries, where an off-by-one in the hint-validity test
+    /// would hide, and probes outside the sampled range.
     #[test]
     fn mrc_hinted_equals_plain(
         pts in prop::collection::vec((1u64..2_000_000, 0.0f64..1.0), 1..12),
         queries in prop::collection::vec(0u64..3_000_000, 1..64),
-        stale_hint in 0usize..16,
+        stale_hints in prop::collection::vec(0usize..16, 1..8),
     ) {
         let mrc = MissRateCurve::from_points(pts);
+        let prepared = PreparedMrc::new(mrc.clone());
+        prop_assert_eq!(prepared.curve(), &mrc);
         let boundary: Vec<u64> = mrc
             .points()
             .iter()
             .flat_map(|&(c, _)| [c.saturating_sub(1), c, c + 1])
+            .chain([0, 1, u64::MAX])
             .collect();
-        let mut hint = stale_hint;
-        for q in queries.into_iter().chain(boundary) {
+        let mut hint = stale_hints[0];
+        for (i, q) in queries.into_iter().chain(boundary).enumerate() {
+            // Every few probes, start over from a stale hint.
+            if i % 5 == 4 {
+                hint = stale_hints[i % stale_hints.len()];
+            }
             let plain = mrc.miss_rate(q);
-            let hinted = mrc.miss_rate_hinted(q, &mut hint);
+            let hinted = prepared.miss_rate_hinted(q, &mut hint);
             prop_assert_eq!(plain.to_bits(), hinted.to_bits());
+        }
+    }
+
+    /// The count-weighted occupancy step over groups equals the flat
+    /// step (counts of 1) on the expanded per-instance slices, bit for
+    /// bit, over several successive steps: every instance of a group
+    /// holds its group's value and the returned maximum change agrees.
+    /// Rates mix zero, tiny and ordinary values, so the floor binds and
+    /// the all-zero early return is taken.
+    #[test]
+    fn occupancy_step_counts_equal_flat_step(
+        groups in prop::collection::vec((1usize..12, 0usize..4, 0.0f64..1.0), 1..6),
+        cap in 1u64..64_000_000,
+        shares in prop::collection::vec(0.0f64..1.0, 6),
+    ) {
+        let counts: Vec<usize> = groups.iter().map(|g| g.0).collect();
+        let ins: Vec<f64> = groups
+            .iter()
+            .map(|&(_, kind, v)| match kind {
+                0 => 0.0,
+                1 => v * 1e-300,
+                2 => v * 1e9,
+                _ => v,
+            })
+            .collect();
+        let expand = |v: &[f64]| -> Vec<f64> {
+            v.iter()
+                .zip(&counts)
+                .flat_map(|(&x, &c)| std::iter::repeat_n(x, c))
+                .collect()
+        };
+        let mut occ: Vec<f64> = (0..counts.len()).map(|g| shares[g] * cap as f64).collect();
+        let flat_ins = expand(&ins);
+        let mut flat_occ = expand(&occ);
+        let ones = vec![1usize; flat_occ.len()];
+        for _ in 0..4 {
+            let d = occupancy_step_rates(cap, &ins, &counts, &mut occ);
+            let flat_d = occupancy_step_rates(cap, &flat_ins, &ones, &mut flat_occ);
+            prop_assert_eq!(d.to_bits(), flat_d.to_bits());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&expand(&occ)), bits(&flat_occ));
         }
     }
 

@@ -2,10 +2,11 @@
 //! [`coloc_machine::engine::Machine::run`].
 //!
 //! The optimized engine earns its speed through data-structure tricks —
-//! a per-run [`RunScratch`] so the segment loop allocates nothing, MRCs
-//! cloned into instance slots only when a group's phase changes, a
-//! `group_first` index replacing owner scans, and a memoizing `RunCache`
-//! in front of the whole thing. None of those tricks may change a single
+//! a per-run [`RunScratch`] so the segment loop allocates nothing,
+//! per-group rather than per-instance occupancy state, miss-rate curves
+//! memoized with precomputed log-capacity tables and probed with hints,
+//! one reused probe per group per fixed-point iteration, and a memoizing
+//! `RunCache` in front of the whole thing. None of those tricks may change a single
 //! bit of the answer: within a segment the contention fixed point is a
 //! pure function of the phase parameters, and across segments the only
 //! carried state is per-group progress, the CPI warm start, and the

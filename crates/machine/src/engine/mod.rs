@@ -6,8 +6,9 @@
 //! application's behaviour is stationary, so the coupled contention state —
 //! LLC occupancy split, per-app miss rate, DRAM latency at the aggregate
 //! miss bandwidth, and effective CPI — is a fixed point, found by damped
-//! iteration (interleaving [`coloc_cachesim::occupancy_step`] with CPI/DRAM
-//! updates). A segment ends when any application crosses a phase boundary,
+//! iteration: each iteration takes one LLC occupancy step over the
+//! co-runner groups ([`coloc_cachesim::occupancy_step_rates`]) and one
+//! CPI/DRAM update. A segment ends when any application crosses a phase boundary,
 //! a co-runner finishes (and restarts, keeping contention pressure constant
 //! — the standard co-location measurement methodology), or the target
 //! completes, which ends the run.
@@ -40,7 +41,7 @@ use crate::event::{self, Event, EventKind, EventQueue, GroupSchedule};
 use crate::faults::FaultEvent;
 use crate::spec::MachineSpec;
 use crate::{MachineError, Result};
-use coloc_cachesim::MissRateCurve;
+use coloc_cachesim::PreparedMrc;
 use coloc_memsys::MemorySystem;
 use rand::Rng as _;
 use rand::SeedableRng as _;
@@ -234,9 +235,9 @@ pub struct RunOutcome {
 /// alone is not enough.
 type MrcKey = (usize, u64, u64, u64);
 
-/// The per-machine curve memo: key → (token keepalive, shared curve).
-type MrcMemo =
-    std::collections::HashMap<MrcKey, (std::sync::Arc<()>, std::sync::Arc<MissRateCurve>)>;
+/// The per-machine curve memo: key → (token keepalive, shared prepared
+/// curve).
+type MrcMemo = std::collections::HashMap<MrcKey, (std::sync::Arc<()>, std::sync::Arc<PreparedMrc>)>;
 
 /// Cap on distinct curves the per-machine memo holds; reaching it clears
 /// the map (entries are pure caches, so a reset is behavior-transparent).
@@ -250,7 +251,8 @@ const MRC_MEMO_CAP: usize = 4096;
 pub struct Machine {
     spec: MachineSpec,
     mem: MemorySystem,
-    /// Memoized per-phase miss-rate curves. Construction walks the full
+    /// Memoized per-phase miss-rate curves, prepared for probing (with
+    /// their log-capacity tables). Construction walks the full
     /// representative/CDF tables (microseconds); sweeps re-run the same
     /// few distributions thousands of times, so the curves are built once
     /// and shared. The stored token clone keeps each key's address from
@@ -291,7 +293,7 @@ impl Machine {
     /// fresh: the key captures the table identity and every scalar the
     /// construction reads, and a memoized curve is the value an earlier
     /// identical construction produced.
-    fn mrcs_for(&self, workload: &[GroupRef<'_>]) -> Vec<Vec<std::sync::Arc<MissRateCurve>>> {
+    fn mrcs_for(&self, workload: &[GroupRef<'_>]) -> Vec<Vec<std::sync::Arc<PreparedMrc>>> {
         let mut memo = self.mrc_memo.lock().ok();
         workload
             .iter()
@@ -313,13 +315,13 @@ impl Machine {
                             let (_, mrc) = m.entry(key).or_insert_with(|| {
                                 (
                                     std::sync::Arc::clone(p.dist.table_token()),
-                                    std::sync::Arc::new(p.mrc()),
+                                    std::sync::Arc::new(PreparedMrc::new(p.mrc())),
                                 )
                             });
                             std::sync::Arc::clone(mrc)
                         }
                         // A poisoned memo degrades to direct construction.
-                        None => std::sync::Arc::new(p.mrc()),
+                        None => std::sync::Arc::new(PreparedMrc::new(p.mrc())),
                     })
                     .collect()
             })
@@ -518,8 +520,8 @@ impl Machine {
             // nothing extra here.
             let active: Vec<usize> = (0..n_groups).filter(|&g| resident[g]).collect();
             let compact_wl: Vec<GroupRef<'_>>;
-            let compact_mrcs: Vec<Vec<std::sync::Arc<MissRateCurve>>>;
-            let (era_wl, era_mrcs): (&[GroupRef<'_>], &[Vec<std::sync::Arc<MissRateCurve>>]) =
+            let compact_mrcs: Vec<Vec<std::sync::Arc<PreparedMrc>>>;
+            let (era_wl, era_mrcs): (&[GroupRef<'_>], &[Vec<std::sync::Arc<PreparedMrc>>]) =
                 if active.len() == n_groups {
                     (workload, &mrcs)
                 } else {

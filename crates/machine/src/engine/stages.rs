@@ -28,7 +28,7 @@ use super::scratch::RunScratch;
 use super::{CounterBlock, GroupRef, RunOptions, DEGRADED_FP_ITERS, FP_TOLERANCE, MAX_FP_ITERS};
 use crate::spec::MachineSpec;
 use crate::{MachineError, Result};
-use coloc_cachesim::{occupancy_step_rates, MissRateCurve};
+use coloc_cachesim::{occupancy_step_rates, PreparedMrc};
 use coloc_memsys::{MemorySystem, MISS_BYTES};
 use std::collections::VecDeque;
 use std::time::Duration;
@@ -106,7 +106,7 @@ pub struct SegmentEnv<'a> {
     pub(crate) mem: &'a MemorySystem,
     pub(crate) workload: &'a [GroupRef<'a>],
     pub(crate) opts: &'a RunOptions,
-    pub(crate) mrcs: &'a [Vec<std::sync::Arc<MissRateCurve>>],
+    pub(crate) mrcs: &'a [Vec<std::sync::Arc<PreparedMrc>>],
 }
 
 impl<'a> SegmentEnv<'a> {
@@ -148,7 +148,9 @@ pub struct EpochState {
     pub(crate) freq_hz: f64,
     /// Per-segment fixed-point iteration cap (set by [`PStateStage`]).
     pub(crate) iter_cap: u64,
-    /// Iterations spent on the current segment's solve so far.
+    /// Iterations of the current segment's solve, counting the one in
+    /// flight: the driver increments it before each [`LlcShareStage`] run,
+    /// which reuses the previous iteration's probes when it exceeds 1.
     pub(crate) seg_iters: u64,
     /// Final relative CPI residual of the current segment's solve (0.0
     /// when converged below [`FP_TOLERANCE`]).
@@ -206,7 +208,7 @@ impl EpochState {
     /// solver loop.
     pub(crate) fn begin_solve(&mut self, env: &SegmentEnv<'_>) {
         let cap = env.spec.llc_bytes;
-        let n_inst = self.scratch.n_instances();
+        let n_inst: usize = self.scratch.counts.iter().sum();
         self.scratch
             .occ
             .iter_mut()
@@ -319,30 +321,32 @@ impl EpochStage for LlcShareStage {
         }
 
         if !env.opts.llc_partitioned {
-            // Per-instance insertion rates into the flat `ins` buffer:
-            // access rate × miss rate at the current share, with the same
-            // floors and evaluation order as [`coloc_cachesim::
-            // occupancy_step`]. The MRC probe is incremental — each
-            // instance feeds back the bracketing segment its last probe
-            // found, which a damped fixed point rarely leaves.
+            // Per-group insertion rates: access rate × miss rate at the
+            // current share, with the same floors and evaluation order as
+            // [`coloc_cachesim::occupancy_step`]. Occupancy has not moved
+            // since the previous iteration's closing probe, so after the
+            // first iteration of a segment that probe is reused.
+            let reuse = st.seg_iters > 1;
             for gi in 0..n_groups {
-                let mrc = &env.mrcs[gi][st.scratch.phase_info[gi].0];
-                let rate = st.scratch.access_rate[gi].max(0.0);
-                for ii in st.scratch.group_range(gi) {
-                    let miss = mrc
-                        .miss_rate_hinted(st.scratch.occ[ii] as u64, &mut st.scratch.mrc_hint[ii])
-                        .max(1e-9);
-                    st.scratch.ins[ii] = rate * miss;
-                }
+                let miss = if reuse {
+                    st.scratch.miss_rate[gi]
+                } else {
+                    env.mrcs[gi][st.scratch.phase_info[gi].0]
+                        .miss_rate_hinted(st.scratch.occ[gi] as u64, &mut st.scratch.mrc_hint[gi])
+                };
+                st.scratch.ins[gi] = st.scratch.access_rate[gi].max(0.0) * miss.max(1e-9);
             }
-            occupancy_step_rates(env.spec.llc_bytes, &st.scratch.ins, &mut st.scratch.occ);
+            occupancy_step_rates(
+                env.spec.llc_bytes,
+                &st.scratch.ins,
+                &st.scratch.counts,
+                &mut st.scratch.occ,
+            );
         }
         for gi in 0..n_groups {
-            // All instances of a group are symmetric; read the first. The
-            // hinted probe returns exactly what `miss_rate` would.
-            let ii = st.scratch.group_first[gi];
+            // The hinted probe returns exactly what `miss_rate` would.
             st.scratch.miss_rate[gi] = env.mrcs[gi][st.scratch.phase_info[gi].0]
-                .miss_rate_hinted(st.scratch.occ[ii] as u64, &mut st.scratch.mrc_hint[ii]);
+                .miss_rate_hinted(st.scratch.occ[gi] as u64, &mut st.scratch.mrc_hint[gi]);
         }
         Ok(StageFlow::Continue)
     }
@@ -417,10 +421,9 @@ impl EpochStage for CounterAccrualStage {
     fn run(&self, env: &SegmentEnv<'_>, st: &mut EpochState) -> Result<StageFlow> {
         let n_groups = env.workload.len();
 
-        // Converged per-group rates and shares for this segment.
+        // Converged per-group rates for this segment.
         for gi in 0..n_groups {
             st.scratch.ips[gi] = st.scratch.freq[gi] / st.cpi[gi];
-            st.scratch.occ_per_instance[gi] = st.scratch.occ[st.scratch.group_first[gi]];
         }
 
         // Time until each group hits its next boundary.
@@ -459,7 +462,7 @@ impl EpochStage for CounterAccrualStage {
             st.counters[gi].cycles += st.scratch.freq[gi] * dt;
             st.counters[gi].llc_accesses += acc;
             st.counters[gi].llc_misses += acc * st.scratch.miss_rate[gi];
-            st.share_time_acc[gi] += st.scratch.occ_per_instance[gi] * dt;
+            st.share_time_acc[gi] += st.scratch.occ[gi] * dt;
         }
         st.latency_time_acc += st.latency_ns * dt;
         st.wall += dt;
@@ -668,7 +671,7 @@ mod tests {
         machine: Machine,
         groups: Vec<GroupRef<'static>>,
         opts: RunOptions,
-        mrcs: Vec<Vec<std::sync::Arc<coloc_cachesim::MissRateCurve>>>,
+        mrcs: Vec<Vec<std::sync::Arc<PreparedMrc>>>,
     }
 
     impl Fixture {
@@ -710,7 +713,7 @@ mod tests {
                     g.app
                         .phases
                         .iter()
-                        .map(|p| std::sync::Arc::new(p.mrc()))
+                        .map(|p| std::sync::Arc::new(PreparedMrc::new(p.mrc())))
                         .collect()
                 })
                 .collect();
@@ -797,11 +800,15 @@ mod tests {
         // Push the target past its phase boundary: the stage must flip its
         // phase index, which redirects downstream MRC reads to the
         // compute-phase curve in the env table.
-        let miss_before = fx.mrcs[0][st.scratch.phase_info[0].0].miss_rate(1 << 20);
+        let miss_before = fx.mrcs[0][st.scratch.phase_info[0].0]
+            .curve()
+            .miss_rate(1 << 20);
         st.progress[0] = 60e9;
         PhaseSyncStage.run(&fx.env(), &mut st).unwrap();
         assert_eq!(st.scratch.phase_info[0], (1, 100e9));
-        let miss_after = fx.mrcs[0][st.scratch.phase_info[0].0].miss_rate(1 << 20);
+        let miss_after = fx.mrcs[0][st.scratch.phase_info[0].0]
+            .curve()
+            .miss_rate(1 << 20);
         assert!(
             miss_after < miss_before,
             "compute phase must miss less: {miss_after} !< {miss_before}"
@@ -825,7 +832,9 @@ mod tests {
         let expect = st.freq_hz / st.cpi[0] * 0.03;
         assert_eq!(st.scratch.access_rate[0], expect);
         // Occupancies stay a partition of the LLC.
-        let total: f64 = st.scratch.occ.iter().sum();
+        let total: f64 = (0..2)
+            .map(|gi| st.scratch.occ[gi] * fx.groups[gi].count as f64)
+            .sum();
         let cap = fx.machine.spec().llc_bytes as f64;
         assert!(
             (total - cap).abs() < 1.0,
@@ -848,6 +857,40 @@ mod tests {
         let slice = cap / 3.0;
         for &o in &stp.scratch.occ {
             assert_eq!(o, slice);
+        }
+    }
+
+    #[test]
+    fn llc_share_stage_reuses_the_probe_at_unmoved_occupancy() {
+        let fx = Fixture::new(RunOptions::default());
+        let mut st = fx.state();
+        PStateStage.run(&fx.env(), &mut st).unwrap();
+        PhaseSyncStage.run(&fx.env(), &mut st).unwrap();
+        st.begin_solve(&fx.env());
+        let plain = |st: &EpochState, gi: usize, bytes: f64| {
+            fx.mrcs[gi][st.scratch.phase_info[gi].0]
+                .curve()
+                .miss_rate(bytes as u64)
+        };
+        for _ in 0..5 {
+            // Every iteration's insertion rates use the miss rate at the
+            // shares it starts from: a fresh probe in the first iteration,
+            // the previous closing probe afterwards. The CPI update between
+            // iterations moves access rates, not shares.
+            let occ = st.scratch.occ.clone();
+            st.seg_iters += 1;
+            LlcShareStage.run(&fx.env(), &mut st).unwrap();
+            for (gi, &o) in occ.iter().enumerate() {
+                let miss = plain(&st, gi, o).max(1e-9);
+                let expect = st.scratch.access_rate[gi].max(0.0) * miss;
+                assert_eq!(st.scratch.ins[gi].to_bits(), expect.to_bits());
+                // The closing probe is a fresh `miss_rate` at the new share.
+                let expect = plain(&st, gi, st.scratch.occ[gi]);
+                assert_eq!(st.scratch.miss_rate[gi].to_bits(), expect.to_bits());
+            }
+            let occ = st.scratch.occ.clone();
+            DramFixedPointStage.run(&fx.env(), &mut st).unwrap();
+            assert_eq!(st.scratch.occ, occ);
         }
     }
 
