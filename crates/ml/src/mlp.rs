@@ -9,6 +9,10 @@
 //! Inputs and targets are z-score standardized internally (fit-time
 //! statistics are stored in the model), so callers always work in raw
 //! feature/target units.
+//!
+//! Training and inference share one lane-major forward kernel, and each
+//! training evaluation is one fused forward + backward pass; both keep the
+//! per-unit `dot` arithmetic bit for bit (DESIGN.md §12).
 
 use crate::rng::derive_seed;
 use crate::scaler::Standardizer;
@@ -79,17 +83,58 @@ fn param_count(inputs: usize, hidden: usize) -> usize {
     hidden * inputs + hidden + hidden + 1
 }
 
-/// Forward pass in standardized space; `act` receives hidden activations.
-fn forward(params: &[f64], inputs: usize, hidden: usize, x: &[f64], act: &mut [f64]) -> f64 {
-    let (w1, rest) = params.split_at(hidden * inputs);
-    let (b1, rest) = rest.split_at(hidden);
-    let (w2, b2) = rest.split_at(hidden);
-    for j in 0..hidden {
-        let row = &w1[j * inputs..(j + 1) * inputs];
-        let z = coloc_linalg::vecops::dot(row, x) + b1[j];
-        act[j] = z.tanh();
+/// Write the row-major `rows × cols` matrix `src` into `dst` transposed.
+fn transpose(src: &[f64], rows: usize, cols: usize, dst: &mut [f64]) {
+    for r in 0..rows {
+        for c in 0..cols {
+            dst[c * rows + r] = src[r * cols + c];
+        }
     }
-    coloc_linalg::vecops::dot(w2, act) + b2[0]
+}
+
+/// The parameters laid out for the lane-major kernel: W1 transposed to
+/// input-major order, so each input's weights into every hidden lane are
+/// contiguous.
+struct Net<'a> {
+    hidden: usize,
+    w1t: Vec<f64>,
+    b1: &'a [f64],
+    w2: &'a [f64],
+    b2: f64,
+}
+
+impl<'a> Net<'a> {
+    fn new(params: &'a [f64], inputs: usize, hidden: usize) -> Net<'a> {
+        let (w1, rest) = params.split_at(hidden * inputs);
+        let (b1, rest) = rest.split_at(hidden);
+        let (w2, b2) = rest.split_at(hidden);
+        let mut w1t = vec![0.0; hidden * inputs];
+        transpose(w1, hidden, inputs, &mut w1t);
+        let b2 = b2[0];
+        Net {
+            hidden,
+            w1t,
+            b1,
+            w2,
+            b2,
+        }
+    }
+
+    /// Forward pass of one standardized row; `act` receives the hidden
+    /// activations. Each pre-activation sums `w·x` in input order from
+    /// `-0.0`, the fold seed of `vecops::dot`: the per-unit dot's bits.
+    fn forward(&self, x: &[f64], act: &mut [f64]) -> f64 {
+        act.fill(-0.0);
+        for (&xi, lanes) in x.iter().zip(self.w1t.chunks_exact(self.hidden)) {
+            for (a, &w) in act.iter_mut().zip(lanes) {
+                *a += w * xi;
+            }
+        }
+        for (a, &b) in act.iter_mut().zip(self.b1) {
+            *a = (*a + b).tanh();
+        }
+        coloc_linalg::vecops::dot(self.w2, act) + self.b2
+    }
 }
 
 /// Full-batch MSE + L2 objective over a standardized dataset.
@@ -106,63 +151,53 @@ impl Objective for MlpObjective<'_> {
         param_count(self.inputs, self.hidden)
     }
 
-    fn value(&self, w: &[f64]) -> f64 {
-        let m = self.y.len() as f64;
-        let mut act = vec![0.0; self.hidden];
-        let mut sse = 0.0;
-        for (row, &t) in self.x.rows_iter().zip(self.y) {
-            let out = forward(w, self.inputs, self.hidden, row, &mut act);
-            sse += (out - t).powi(2);
-        }
-        let weights_only = self.hidden * self.inputs + self.hidden + self.hidden;
-        let mut l2 = 0.0;
-        for (i, wi) in w.iter().enumerate() {
-            // Penalize W1 and w2; skip the two bias blocks.
-            let is_b1 =
-                (self.hidden * self.inputs..self.hidden * self.inputs + self.hidden).contains(&i);
-            if !is_b1 && i < weights_only {
-                l2 += wi * wi;
-            }
-        }
-        0.5 * sse / m + 0.5 * self.l2 * l2
-    }
-
-    fn gradient(&self, w: &[f64], grad: &mut [f64]) {
+    /// One fused forward + backward pass. Every gradient element sums its
+    /// per-row terms in row order from `0.0`; W1's gradient accumulates
+    /// input-major and is written back to the flat layout at the end.
+    fn eval(&self, w: &[f64], grad: &mut [f64]) -> f64 {
         let (inputs, hidden) = (self.inputs, self.hidden);
         let m = self.y.len() as f64;
+        let net = Net::new(w, inputs, hidden);
+        let w1 = &w[..hidden * inputs];
         grad.fill(0.0);
-        let (w1, rest) = w.split_at(hidden * inputs);
-        let (_b1, rest) = rest.split_at(hidden);
-        let (w2, _b2) = rest.split_at(hidden);
+        let (gw1, rest) = grad.split_at_mut(hidden * inputs);
+        let (gb1, rest) = rest.split_at_mut(hidden);
+        let (gw2, gb2) = rest.split_at_mut(hidden);
 
-        let w1_off = 0;
-        let b1_off = hidden * inputs;
-        let w2_off = b1_off + hidden;
-        let b2_off = w2_off + hidden;
-
+        let mut gw1t = vec![0.0; hidden * inputs];
         let mut act = vec![0.0; hidden];
+        let mut dh = vec![0.0; hidden];
+        let mut sse = 0.0;
         for (row, &t) in self.x.rows_iter().zip(self.y) {
-            let out = forward(w, inputs, hidden, row, &mut act);
+            let out = net.forward(row, &mut act);
+            sse += (out - t).powi(2);
             let e = (out - t) / m;
-            grad[b2_off] += e;
-            for j in 0..hidden {
-                grad[w2_off + j] += e * act[j];
-                let dh = e * w2[j] * (1.0 - act[j] * act[j]);
-                grad[b1_off + j] += dh;
-                let grow = &mut grad[w1_off + j * inputs..w1_off + (j + 1) * inputs];
-                for (g, &xi) in grow.iter_mut().zip(row) {
-                    *g += dh * xi;
+            gb2[0] += e;
+            for (((d, gb), gw), (&a, &w2j)) in dh
+                .iter_mut()
+                .zip(gb1.iter_mut())
+                .zip(gw2.iter_mut())
+                .zip(act.iter().zip(net.w2))
+            {
+                *gw += e * a;
+                *d = e * w2j * (1.0 - a * a);
+                *gb += *d;
+            }
+            for (&xi, lanes) in row.iter().zip(gw1t.chunks_exact_mut(hidden)) {
+                for (g, &d) in lanes.iter_mut().zip(&dh) {
+                    *g += d * xi;
                 }
             }
         }
+        transpose(&gw1t, inputs, hidden, gw1);
         if self.l2 > 0.0 {
-            for i in 0..hidden * inputs {
-                grad[i] += self.l2 * w1[i];
-            }
-            for j in 0..hidden {
-                grad[w2_off + j] += self.l2 * w2[j];
+            for (g, &wi) in gw1.iter_mut().zip(w1).chain(gw2.iter_mut().zip(net.w2)) {
+                *g += self.l2 * wi;
             }
         }
+        // Penalize W1 and w2, in index order; the biases are unpenalized.
+        let l2 = w1.iter().chain(net.w2).fold(0.0, |s, wi| s + wi * wi);
+        0.5 * sse / m + 0.5 * self.l2 * l2
     }
 }
 
@@ -225,6 +260,20 @@ impl Mlp {
 
     /// Predict the target for one raw feature vector.
     pub fn predict(&self, features: &[f64]) -> f64 {
+        let net = Net::new(&self.params, self.inputs, self.hidden);
+        self.predict_with(&net, features, &mut vec![0.0; self.hidden])
+    }
+
+    /// Predict for every row of a dataset.
+    pub fn predict_all(&self, data: &Dataset) -> Vec<f64> {
+        let net = Net::new(&self.params, self.inputs, self.hidden);
+        let mut act = vec![0.0; self.hidden];
+        (0..data.len())
+            .map(|i| self.predict_with(&net, data.sample(i).0, &mut act))
+            .collect()
+    }
+
+    fn predict_with(&self, net: &Net, features: &[f64], act: &mut [f64]) -> f64 {
         assert_eq!(
             features.len(),
             self.inputs,
@@ -234,16 +283,7 @@ impl Mlp {
         );
         let mut z = features.to_vec();
         self.x_scaler.transform_row(&mut z);
-        let mut act = vec![0.0; self.hidden];
-        let out = forward(&self.params, self.inputs, self.hidden, &z, &mut act);
-        self.y_scaler.inverse_scalar(out)
-    }
-
-    /// Predict for every row of a dataset.
-    pub fn predict_all(&self, data: &Dataset) -> Vec<f64> {
-        (0..data.len())
-            .map(|i| self.predict(data.sample(i).0))
-            .collect()
+        self.y_scaler.inverse_scalar(net.forward(&z, act))
     }
 
     /// Hidden-layer width.
@@ -257,25 +297,17 @@ impl Mlp {
     }
 }
 
-/// Xavier/Glorot-style uniform initialization.
+/// Xavier/Glorot-style uniform initialization; biases start at zero.
 fn init_params(inputs: usize, hidden: usize, seed: u64) -> Vec<f64> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let n = param_count(inputs, hidden);
-    let mut w = vec![0.0; n];
     let limit1 = (6.0 / (inputs + hidden) as f64).sqrt();
     let limit2 = (6.0 / (hidden + 1) as f64).sqrt();
-    let w2_off = hidden * inputs + hidden;
-    for (i, wi) in w.iter_mut().enumerate() {
-        if i < hidden * inputs {
-            *wi = rng.gen_range(-limit1..limit1);
-        } else if i < w2_off {
-            *wi = 0.0; // b1
-        } else if i < w2_off + hidden {
-            *wi = rng.gen_range(-limit2..limit2);
-        } else {
-            *wi = 0.0; // b2
-        }
-    }
+    let mut w: Vec<f64> = (0..hidden * inputs)
+        .map(|_| rng.gen_range(-limit1..limit1))
+        .collect();
+    w.extend(std::iter::repeat_n(0.0, hidden));
+    w.extend((0..hidden).map(|_| rng.gen_range(-limit2..limit2)));
+    w.push(0.0);
     w
 }
 
@@ -283,6 +315,211 @@ fn init_params(inputs: usize, hidden: usize, seed: u64) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::metrics;
+
+    /// The objective as it was written before the lane-major kernel: a
+    /// per-unit `dot` forward pass, and value and gradient from separate
+    /// passes. [`MlpObjective::eval`] must match it bit for bit.
+    struct Reference<'a>(MlpObjective<'a>);
+
+    fn reference_forward(
+        params: &[f64],
+        inputs: usize,
+        hidden: usize,
+        x: &[f64],
+        act: &mut [f64],
+    ) -> f64 {
+        let (w1, rest) = params.split_at(hidden * inputs);
+        let (b1, rest) = rest.split_at(hidden);
+        let (w2, b2) = rest.split_at(hidden);
+        for j in 0..hidden {
+            let row = &w1[j * inputs..(j + 1) * inputs];
+            let z = coloc_linalg::vecops::dot(row, x) + b1[j];
+            act[j] = z.tanh();
+        }
+        coloc_linalg::vecops::dot(w2, act) + b2[0]
+    }
+
+    impl Reference<'_> {
+        fn value(&self, w: &[f64]) -> f64 {
+            let o = &self.0;
+            let m = o.y.len() as f64;
+            let mut act = vec![0.0; o.hidden];
+            let mut sse = 0.0;
+            for (row, &t) in o.x.rows_iter().zip(o.y) {
+                let out = reference_forward(w, o.inputs, o.hidden, row, &mut act);
+                sse += (out - t).powi(2);
+            }
+            let weights_only = o.hidden * o.inputs + o.hidden + o.hidden;
+            let mut l2 = 0.0;
+            for (i, wi) in w.iter().enumerate() {
+                let is_b1 = (o.hidden * o.inputs..o.hidden * o.inputs + o.hidden).contains(&i);
+                if !is_b1 && i < weights_only {
+                    l2 += wi * wi;
+                }
+            }
+            0.5 * sse / m + 0.5 * o.l2 * l2
+        }
+
+        fn gradient(&self, w: &[f64], grad: &mut [f64]) {
+            let o = &self.0;
+            let (inputs, hidden) = (o.inputs, o.hidden);
+            let m = o.y.len() as f64;
+            grad.fill(0.0);
+            let (w1, rest) = w.split_at(hidden * inputs);
+            let (_b1, rest) = rest.split_at(hidden);
+            let (w2, _b2) = rest.split_at(hidden);
+            let b1_off = hidden * inputs;
+            let w2_off = b1_off + hidden;
+            let b2_off = w2_off + hidden;
+            let mut act = vec![0.0; hidden];
+            for (row, &t) in o.x.rows_iter().zip(o.y) {
+                let out = reference_forward(w, inputs, hidden, row, &mut act);
+                let e = (out - t) / m;
+                grad[b2_off] += e;
+                for j in 0..hidden {
+                    grad[w2_off + j] += e * act[j];
+                    let dh = e * w2[j] * (1.0 - act[j] * act[j]);
+                    grad[b1_off + j] += dh;
+                    let grow = &mut grad[j * inputs..(j + 1) * inputs];
+                    for (g, &xi) in grow.iter_mut().zip(row) {
+                        *g += dh * xi;
+                    }
+                }
+            }
+            if o.l2 > 0.0 {
+                for i in 0..hidden * inputs {
+                    grad[i] += o.l2 * w1[i];
+                }
+                for j in 0..hidden {
+                    grad[w2_off + j] += o.l2 * w2[j];
+                }
+            }
+        }
+    }
+
+    impl Objective for Reference<'_> {
+        fn dim(&self) -> usize {
+            self.0.dim()
+        }
+        fn eval(&self, w: &[f64], grad: &mut [f64]) -> f64 {
+            self.gradient(w, grad);
+            self.value(w)
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A deterministic value in [-1.5, 1.5), with exact ±0.0 every few
+    /// draws so signed-zero handling is exercised.
+    fn draw(state: &mut u64) -> f64 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        match (*state >> 33) % 11 {
+            0 => 0.0,
+            1 => -0.0,
+            _ => ((*state >> 11) as f64 / (1u64 << 53) as f64) * 3.0 - 1.5,
+        }
+    }
+
+    #[test]
+    fn eval_is_bit_identical_to_the_reference() {
+        let mut state = 7u64;
+        for inputs in 1..=8 {
+            for hidden in 1..=20 {
+                let rows = 1 + (inputs * 31 + hidden * 17) % 64;
+                for rows in [1, rows, 64] {
+                    let x = Mat::from_fn(rows, inputs, |_, _| draw(&mut state));
+                    let y: Vec<f64> = (0..rows).map(|_| draw(&mut state)).collect();
+                    let l2 = if hidden % 3 == 0 { 0.0 } else { 1e-4 };
+                    let obj = MlpObjective {
+                        x: &x,
+                        y: &y,
+                        inputs,
+                        hidden,
+                        l2,
+                    };
+                    let reference = Reference(MlpObjective { ..obj });
+                    // Random weights with exact zeros, then the all-zero point.
+                    let n = param_count(inputs, hidden);
+                    let random: Vec<f64> = (0..n).map(|_| draw(&mut state)).collect();
+                    for w in [random, vec![0.0; n], vec![-0.0; n]] {
+                        let (mut g, mut g_ref) = (vec![0.0; n], vec![0.0; n]);
+                        let v = obj.eval(&w, &mut g);
+                        let v_ref = reference.eval(&w, &mut g_ref);
+                        assert_eq!(v.to_bits(), v_ref.to_bits(), "{inputs}x{hidden}x{rows}");
+                        assert_eq!(bits(&g), bits(&g_ref), "{inputs}x{hidden}x{rows}");
+                        // The shared forward kernel, activations included
+                        // (signed zeros wash out of the loss but not here).
+                        let net = Net::new(&w, inputs, hidden);
+                        let (mut act, mut act_ref) = (vec![0.0; hidden], vec![0.0; hidden]);
+                        for row in x.rows_iter() {
+                            let out = net.forward(row, &mut act);
+                            let out_ref = reference_forward(&w, inputs, hidden, row, &mut act_ref);
+                            assert_eq!(out.to_bits(), out_ref.to_bits());
+                            assert_eq!(bits(&act), bits(&act_ref));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fit_matches_the_reference_objective_bit_for_bit() {
+        let x = Mat::from_fn(50, 3, |i, j| ((i * 3 + j) as f64 * 0.37).sin());
+        let y: Vec<f64> = (0..50).map(|i| (i as f64 * 0.21).cos() * 4.0).collect();
+        let ds = Dataset::new(x, y).unwrap();
+        let cfg = MlpConfig {
+            hidden: 7,
+            max_iters: 60,
+            seed: 11,
+            ..Default::default()
+        };
+        let mlp = Mlp::fit(&ds, &cfg).unwrap();
+
+        // Replay `fit` with SCG driving the reference objective.
+        let zx = mlp.x_scaler.transform(ds.x());
+        let zy: Vec<f64> = ds
+            .y()
+            .iter()
+            .map(|&v| mlp.y_scaler.transform_scalar(v))
+            .collect();
+        let reference = Reference(MlpObjective {
+            x: &zx,
+            y: &zy,
+            inputs: 3,
+            hidden: cfg.hidden,
+            l2: cfg.l2,
+        });
+        let scg_cfg = ScgConfig {
+            max_iters: cfg.max_iters,
+            ..Default::default()
+        };
+        let mut best: Option<(f64, Vec<f64>)> = None;
+        for restart in 0..cfg.restarts {
+            let mut w = init_params(3, cfg.hidden, derive_seed(cfg.seed, restart as u64));
+            let report = scg::minimize(&reference, &mut w, &scg_cfg);
+            if best.as_ref().is_none_or(|(v, _)| report.value < *v) {
+                best = Some((report.value, w));
+            }
+        }
+        let (loss, params) = best.unwrap();
+        assert_eq!(loss.to_bits(), mlp.train_loss.to_bits());
+        assert_eq!(bits(&params), bits(&mlp.params));
+
+        // Inference shares the kernel: predictions match the reference
+        // forward pass too.
+        let mut act = vec![0.0; cfg.hidden];
+        for (i, pred) in mlp.predict_all(&ds).into_iter().enumerate() {
+            let mut z = ds.sample(i).0.to_vec();
+            mlp.x_scaler.transform_row(&mut z);
+            let out = reference_forward(&params, 3, cfg.hidden, &z, &mut act);
+            assert_eq!(pred.to_bits(), mlp.y_scaler.inverse_scalar(out).to_bits());
+        }
+    }
 
     /// Numerical-vs-analytic gradient check — the canonical backprop test.
     #[test]
@@ -298,14 +535,15 @@ mod tests {
         };
         let w = init_params(3, 4, 99);
         let mut analytic = vec![0.0; w.len()];
-        obj.gradient(&w, &mut analytic);
+        obj.eval(&w, &mut analytic);
+        let mut scratch = vec![0.0; w.len()];
         let eps = 1e-6;
         for i in 0..w.len() {
             let mut wp = w.clone();
             wp[i] += eps;
             let mut wm = w.clone();
             wm[i] -= eps;
-            let numeric = (obj.value(&wp) - obj.value(&wm)) / (2.0 * eps);
+            let numeric = (obj.eval(&wp, &mut scratch) - obj.eval(&wm, &mut scratch)) / (2.0 * eps);
             assert!(
                 (numeric - analytic[i]).abs() < 1e-5,
                 "param {i}: numeric {numeric} vs analytic {}",

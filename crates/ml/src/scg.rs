@@ -8,18 +8,20 @@
 //! Hessian-vector product approximated by a forward difference of
 //! gradients.
 //!
-//! The optimizer is generic over any objective exposing value + gradient,
-//! so it is tested here against analytic functions independently of the
-//! neural network that uses it.
+//! The optimizer is generic over any objective that returns its value and
+//! gradient from one evaluation, so it is tested here against analytic
+//! functions independently of the neural network that uses it. [`minimize`]
+//! evaluates each point it visits exactly once — the start, the σ-probe
+//! of a successful iteration, and each trial step — so a run of `k`
+//! iterations costs at most `2k + 1` evaluations.
 
 /// An objective function for [`minimize`]: smooth, bounded below.
 pub trait Objective {
     /// Number of parameters.
     fn dim(&self) -> usize;
-    /// Objective value at `w`.
-    fn value(&self, w: &[f64]) -> f64;
-    /// Gradient at `w`, written into `grad` (length `dim()`).
-    fn gradient(&self, w: &[f64], grad: &mut [f64]);
+    /// Objective value at `w`; the gradient at `w` is written into `grad`
+    /// (length `dim()`) by the same pass.
+    fn eval(&self, w: &[f64], grad: &mut [f64]) -> f64;
 }
 
 /// Configuration for the SCG run.
@@ -69,7 +71,7 @@ pub fn minimize(obj: &impl Objective, w: &mut [f64], cfg: &ScgConfig) -> ScgRepo
     let n = obj.dim();
     assert_eq!(w.len(), n, "parameter vector has wrong length");
     if n == 0 {
-        let value = obj.value(w);
+        let value = obj.eval(w, &mut []);
         return ScgReport {
             value,
             grad_norm: 0.0,
@@ -84,9 +86,8 @@ pub fn minimize(obj: &impl Objective, w: &mut [f64], cfg: &ScgConfig) -> ScgRepo
     let mut lambda_bar = 0.0f64;
     let mut success = true;
 
-    let mut fw = obj.value(w);
     let mut grad = vec![0.0; n];
-    obj.gradient(w, &mut grad);
+    let mut fw = obj.eval(w, &mut grad);
     // A non-finite objective at the starting point cannot recover (every
     // comparison against it is false); bail out as diverged immediately.
     if !fw.is_finite() || grad.iter().any(|g| !g.is_finite()) {
@@ -103,6 +104,7 @@ pub fn minimize(obj: &impl Objective, w: &mut [f64], cfg: &ScgConfig) -> ScgRepo
     let mut delta = 0.0f64;
 
     let mut grad_plus = vec![0.0; n];
+    let mut grad_try = vec![0.0; n];
     let mut w_try = vec![0.0; n];
     let mut small_steps = 0usize;
     let mut iterations = 0usize;
@@ -123,7 +125,7 @@ pub fn minimize(obj: &impl Objective, w: &mut [f64], cfg: &ScgConfig) -> ScgRepo
             for i in 0..n {
                 w_try[i] = w[i] + sigma * p[i];
             }
-            obj.gradient(&w_try, &mut grad_plus);
+            obj.eval(&w_try, &mut grad_plus);
             // delta = pᵀ H p approximated by pᵀ (g(w+σp) − g(w)) / σ
             delta = p
                 .iter()
@@ -151,7 +153,7 @@ pub fn minimize(obj: &impl Objective, w: &mut [f64], cfg: &ScgConfig) -> ScgRepo
         for i in 0..n {
             w_try[i] = w[i] + alpha * p[i];
         }
-        let f_try = obj.value(&w_try);
+        let f_try = obj.eval(&w_try, &mut grad_try);
         let big_delta = 2.0 * delta * (fw - f_try) / (mu * mu);
 
         if big_delta >= 0.0 && f_try.is_finite() {
@@ -159,7 +161,7 @@ pub fn minimize(obj: &impl Objective, w: &mut [f64], cfg: &ScgConfig) -> ScgRepo
             let reduction = fw - f_try;
             w.copy_from_slice(&w_try);
             fw = f_try;
-            obj.gradient(w, &mut grad);
+            std::mem::swap(&mut grad, &mut grad_try);
             let r_new: Vec<f64> = grad.iter().map(|g| -g).collect();
             lambda_bar = 0.0;
             success = true;
@@ -233,16 +235,14 @@ mod tests {
         fn dim(&self) -> usize {
             self.target.len()
         }
-        fn value(&self, w: &[f64]) -> f64 {
+        fn eval(&self, w: &[f64], grad: &mut [f64]) -> f64 {
+            for i in 0..w.len() {
+                grad[i] = 2.0 * self.curv[i] * (w[i] - self.target[i]);
+            }
             w.iter()
                 .zip(self.target.iter().zip(&self.curv))
                 .map(|(wi, (t, c))| c * (wi - t).powi(2))
                 .sum()
-        }
-        fn gradient(&self, w: &[f64], grad: &mut [f64]) {
-            for i in 0..w.len() {
-                grad[i] = 2.0 * self.curv[i] * (w[i] - self.target[i]);
-            }
         }
     }
 
@@ -253,12 +253,10 @@ mod tests {
         fn dim(&self) -> usize {
             2
         }
-        fn value(&self, w: &[f64]) -> f64 {
-            (1.0 - w[0]).powi(2) + 100.0 * (w[1] - w[0] * w[0]).powi(2)
-        }
-        fn gradient(&self, w: &[f64], grad: &mut [f64]) {
+        fn eval(&self, w: &[f64], grad: &mut [f64]) -> f64 {
             grad[0] = -2.0 * (1.0 - w[0]) - 400.0 * w[0] * (w[1] - w[0] * w[0]);
             grad[1] = 200.0 * (w[1] - w[0] * w[0]);
+            (1.0 - w[0]).powi(2) + 100.0 * (w[1] - w[0] * w[0]).powi(2)
         }
     }
 
@@ -299,7 +297,7 @@ mod tests {
     #[test]
     fn makes_progress_on_rosenbrock() {
         let mut w = vec![-1.2, 1.0];
-        let start = Rosenbrock.value(&w);
+        let start = Rosenbrock.eval(&w, &mut [0.0; 2]);
         let report = minimize(
             &Rosenbrock,
             &mut w,
@@ -344,11 +342,9 @@ mod tests {
         fn dim(&self) -> usize {
             2
         }
-        fn value(&self, _w: &[f64]) -> f64 {
-            f64::NAN
-        }
-        fn gradient(&self, _w: &[f64], grad: &mut [f64]) {
+        fn eval(&self, _w: &[f64], grad: &mut [f64]) -> f64 {
             grad.fill(f64::NAN);
+            f64::NAN
         }
     }
 
@@ -389,5 +385,111 @@ mod tests {
         );
         assert_eq!(report.iterations, 3);
         assert!(!report.converged);
+    }
+
+    /// Counts the evaluations [`minimize`] makes of the wrapped objective.
+    struct Counting<O> {
+        inner: O,
+        evals: std::cell::Cell<usize>,
+    }
+
+    impl<O: Objective> Objective for Counting<O> {
+        fn dim(&self) -> usize {
+            self.inner.dim()
+        }
+        fn eval(&self, w: &[f64], grad: &mut [f64]) -> f64 {
+            self.evals.set(self.evals.get() + 1);
+            self.inner.eval(w, grad)
+        }
+    }
+
+    fn assert_eval_budget<O: Objective>(inner: O, start: Vec<f64>, cfg: &ScgConfig) {
+        let obj = Counting {
+            inner,
+            evals: std::cell::Cell::new(0),
+        };
+        let mut w = start;
+        let report = minimize(&obj, &mut w, cfg);
+        assert!(report.iterations > 0, "{report:?}");
+        assert!(
+            obj.evals.get() <= 2 * report.iterations + 1,
+            "{} evaluations for {} iterations",
+            obj.evals.get(),
+            report.iterations
+        );
+    }
+
+    #[test]
+    fn each_point_is_evaluated_once() {
+        let quadratic = Quadratic {
+            target: vec![1.0, -2.0, 3.0],
+            curv: vec![1.0, 2.0, 0.5],
+        };
+        assert_eval_budget(quadratic, vec![0.0; 3], &ScgConfig::default());
+        let banana = ScgConfig {
+            max_iters: 500,
+            value_tol: 0.0,
+            patience: usize::MAX,
+            grad_tol: 0.0,
+        };
+        assert_eval_budget(Rosenbrock, vec![-1.2, 1.0], &banana);
+    }
+
+    /// The quadratic, except that its first trial step (the third
+    /// evaluation: start, σ-probe, trial) reports a huge loss and a NaN
+    /// gradient, so SCG must reject it.
+    struct RejectFirstTrial {
+        inner: Quadratic,
+        evals: std::cell::Cell<usize>,
+    }
+
+    impl Objective for RejectFirstTrial {
+        fn dim(&self) -> usize {
+            self.inner.dim()
+        }
+        fn eval(&self, w: &[f64], grad: &mut [f64]) -> f64 {
+            self.evals.set(self.evals.get() + 1);
+            let value = self.inner.eval(w, grad);
+            if self.evals.get() == 3 {
+                grad.fill(f64::NAN);
+                return 1e300;
+            }
+            value
+        }
+    }
+
+    #[test]
+    fn rejected_step_keeps_weights_and_gradient() {
+        let obj = || RejectFirstTrial {
+            inner: Quadratic {
+                target: vec![1.0, -2.0],
+                curv: vec![1.0, 2.0],
+            },
+            evals: std::cell::Cell::new(0),
+        };
+        let start = vec![0.0, 0.0];
+        let mut start_grad = vec![0.0; 2];
+        obj().inner.eval(&start, &mut start_grad);
+        let start_norm = start_grad.iter().fold(0.0f64, |m, g| m.max(g.abs()));
+
+        let mut w = start.clone();
+        let one = ScgConfig {
+            max_iters: 1,
+            ..Default::default()
+        };
+        let report = minimize(&obj(), &mut w, &one);
+        assert_eq!(w, start, "a rejected step must not move the weights");
+        assert_eq!(report.grad_norm.to_bits(), start_norm.to_bits());
+        assert!(!report.diverged, "{report:?}");
+
+        // Later iterations build on the kept gradient, not the rejected
+        // trial's NaN one.
+        let mut w = start.clone();
+        let report = minimize(&obj(), &mut w, &ScgConfig::default());
+        assert!(report.converged && !report.diverged, "{report:?}");
+        assert!(
+            (w[0] - 1.0).abs() < 1e-4 && (w[1] + 2.0).abs() < 1e-4,
+            "{w:?}"
+        );
     }
 }
