@@ -42,15 +42,17 @@ pub fn run_conformance() {
         Ok(summary) => {
             assert!(summary.faulted > 0 && summary.budgeted > 0 && summary.solo > 0);
             assert!(summary.events > 0, "no event-schedule case generated");
+            assert!(summary.fast_forwarded > 0, "no fast-forwarded case");
             println!(
                 "stage 2: {} generated scenarios agree with the reference engine \
-                 ({} faulted, {} fp-budgeted, {} solo, {} event-scheduled; \
-                 max slowdown gap {:.2e})",
+                 ({} faulted, {} fp-budgeted, {} solo, {} event-scheduled, \
+                 {} fast-forwarded; max slowdown gap {:.2e})",
                 summary.cases,
                 summary.faulted,
                 summary.budgeted,
                 summary.solo,
                 summary.events,
+                summary.fast_forwarded,
                 summary.max_slowdown_gap
             );
         }

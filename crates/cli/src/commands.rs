@@ -469,8 +469,9 @@ pub fn machines(argv: &[String]) -> CmdResult {
 ///
 /// Runs one scenario through the staged engine with the segment trace
 /// ring attached and dumps the most recent segments: per-segment dt,
-/// converged DRAM latency, fixed-point iteration count and final
-/// residual. `--stage-stats` adds the per-stage pipeline breakdown.
+/// converged DRAM latency, fixed-point iteration count (with the part
+/// the limit-cycle fast-forward skipped) and final residual.
+/// `--stage-stats` adds the per-stage pipeline breakdown.
 pub fn trace(argv: &[String]) -> CmdResult {
     let args = ArgMap::parse(argv)?;
     if args.has_flag("help") {
@@ -510,13 +511,20 @@ pub fn trace(argv: &[String]) -> CmdResult {
         );
     }
     println!(
-        "{:>9}  {:>13}  {:>12}  {:>4}  {:>10}  {:>6}  {:>8}",
-        "segment", "dt (s)", "latency (ns)", "fp", "residual", "events", "resident"
+        "{:>9}  {:>13}  {:>12}  {:>4}  {:>4}  {:>10}  {:>6}  {:>8}",
+        "segment", "dt (s)", "latency (ns)", "fp", "ff", "residual", "events", "resident"
     );
     for r in trace.records() {
         println!(
-            "{:>9}  {:>13.6}  {:>12.2}  {:>4}  {:>10.3e}  {:>6}  {:>8}",
-            r.segment, r.dt, r.latency_ns, r.fp_iters, r.residual, r.events, r.resident_groups
+            "{:>9}  {:>13.6}  {:>12.2}  {:>4}  {:>4}  {:>10.3e}  {:>6}  {:>8}",
+            r.segment,
+            r.dt,
+            r.latency_ns,
+            r.fp_iters,
+            r.fast_forwarded,
+            r.residual,
+            r.events,
+            r.resident_groups
         );
     }
 
@@ -540,6 +548,11 @@ pub fn trace(argv: &[String]) -> CmdResult {
                 s.nanos as f64 * 1e-6
             );
         }
+        println!(
+            "  {:<17} {:>9} solver iterations skipped",
+            "fast-forwarded",
+            profile.fast_forwarded()
+        );
     }
     Ok(())
 }

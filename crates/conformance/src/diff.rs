@@ -16,7 +16,7 @@
 
 use crate::case::{gen_case, shrink, CorpusCase, GenConstraints};
 use crate::refengine::RefEngine;
-use coloc_machine::{Convergence, Machine, RunCache, RunOutcome, RunnerGroup};
+use coloc_machine::{Convergence, Machine, RunCache, RunOutcome, RunnerGroup, StageProfile};
 
 /// Relative tolerance for per-field outcome comparison.
 pub const REL_TOL: f64 = 1e-9;
@@ -173,6 +173,9 @@ pub struct DiffReport {
     pub slowdown_ref: f64,
     /// Both engines rejected the workload (with the same error).
     pub rejected: bool,
+    /// Solver iterations the engine's limit-cycle fast-forward skipped on
+    /// the co-located run (0 for a rejected case).
+    pub fast_forwarded: u64,
 }
 
 /// Run the differential oracle on one case.
@@ -211,6 +214,7 @@ pub fn check_case(case: &CorpusCase) -> Result<DiffReport, String> {
                     slowdown_engine: f64::NAN,
                     slowdown_ref: f64::NAN,
                     rejected: true,
+                    fast_forwarded: 0,
                 });
             }
             return Err(format!(
@@ -249,6 +253,25 @@ pub fn check_case(case: &CorpusCase) -> Result<DiffReport, String> {
         return Err("cache hit is not bit-identical to the cold run".into());
     }
 
+    // The instrumented run must match too, and its profile says how many
+    // solver iterations the limit-cycle fast-forward skipped, so the
+    // sweep can show it exercised that path.
+    let mut profile = StageProfile::new();
+    let mut observed = machine
+        .run_scheduled_instrumented(
+            &built.workload,
+            built.schedules.as_deref(),
+            &built.opts,
+            &mut profile,
+        )
+        .map_err(|e| format!("instrumented run errored: {e}"))?;
+    if let Some(plan) = built.plan.as_ref() {
+        plan.apply(built.opts.seed, &mut observed);
+    }
+    if !outcomes_bit_identical(&engine_out, &observed) {
+        return Err("instrumented run is not bit-identical to the cold run".into());
+    }
+
     // Derived slowdown: each side computes its own solo baseline (clean —
     // baselines sit below the fault layer, as in `Lab`).
     let solo_wl: Vec<RunnerGroup> = built.workload[..1].to_vec();
@@ -272,6 +295,7 @@ pub fn check_case(case: &CorpusCase) -> Result<DiffReport, String> {
         slowdown_engine,
         slowdown_ref,
         rejected: false,
+        fast_forwarded: profile.fast_forwarded(),
     })
 }
 
@@ -289,6 +313,9 @@ pub struct DiffSummary {
     /// Cases carrying an event schedule (arrival, departure, staggered
     /// start, or per-core clock on at least one group).
     pub events: usize,
+    /// Cases whose co-located run skipped solver iterations through the
+    /// engine's limit-cycle fast-forward.
+    pub fast_forwarded: usize,
     /// Largest observed |slowdown_engine − slowdown_ref| / slowdown.
     pub max_slowdown_gap: f64,
 }
@@ -344,6 +371,9 @@ pub fn differential_sweep_threaded(
                 }
                 if case.co.iter().any(crate::case::CoGroup::has_schedule) {
                     summary.events += 1;
+                }
+                if report.fast_forwarded > 0 {
+                    summary.fast_forwarded += 1;
                 }
                 if report.slowdown_engine.is_finite() && report.slowdown_ref.is_finite() {
                     let denom = report.slowdown_engine.abs().max(report.slowdown_ref.abs());

@@ -26,6 +26,10 @@ fn optimized_engine_matches_reference_on_generated_scenarios() {
             assert!(summary.solo > 0, "no solo case generated");
             assert!(summary.events > 0, "no event-schedule case generated");
             assert!(
+                summary.fast_forwarded > 0,
+                "no case exercised the limit-cycle fast-forward"
+            );
+            assert!(
                 summary.max_slowdown_gap <= coloc_conformance::SLOWDOWN_REL_TOL,
                 "slowdown gap {} exceeds tolerance",
                 summary.max_slowdown_gap

@@ -59,16 +59,22 @@ pub struct SweepStats {
     /// Per-stage pipeline wall nanoseconds, indexed like
     /// [`SweepStats::stage_invocations`].
     pub stage_nanos: [u64; 6],
+    /// Fixed-point iterations the engine's limit-cycle fast-forward
+    /// skipped: part of [`SweepStats::fp_iterations`], but executed by no
+    /// stage, so the solver stages' invocations plus this count equal the
+    /// logical iterations. Zero unless stage instrumentation is enabled.
+    pub fast_forwarded_iterations: u64,
 }
 
 impl SweepStats {
-    /// Multi-line per-stage breakdown (one line per [`StageId`]), or
-    /// `None` when no stage instrumentation was collected.
+    /// Multi-line per-stage breakdown (one line per [`StageId`], then the
+    /// fast-forwarded solver iterations), or `None` when no stage
+    /// instrumentation was collected.
     pub fn stage_summary(&self) -> Option<String> {
         if self.stage_invocations.iter().all(|&n| n == 0) {
             return None;
         }
-        let lines: Vec<String> = StageId::ALL
+        let mut lines: Vec<String> = StageId::ALL
             .iter()
             .map(|id| {
                 let i = id.index();
@@ -80,6 +86,10 @@ impl SweepStats {
                 )
             })
             .collect();
+        lines.push(format!(
+            "  {:<17} {:>9} solver iterations skipped",
+            "fast-forwarded", self.fast_forwarded_iterations
+        ));
         Some(lines.join("\n"))
     }
 }
@@ -431,6 +441,7 @@ impl Lab {
             sweep_wall_time_s: self.sweep_nanos.load(Ordering::Relaxed) as f64 * 1e-9,
             stage_invocations: profile.invocations(),
             stage_nanos: profile.nanos(),
+            fast_forwarded_iterations: profile.fast_forwarded(),
         }
     }
 
@@ -898,6 +909,7 @@ mod tests {
             sweep_wall_time_s: 1.25,
             stage_invocations: [0; 6],
             stage_nanos: [0; 6],
+            fast_forwarded_iterations: 0,
         };
         let text = format!("{s}");
         assert!(text.contains("10 scenarios"), "{text}");
@@ -908,11 +920,14 @@ mod tests {
         let mut with_stages = s;
         with_stages.stage_invocations = [10, 10, 40, 40, 10, 0];
         with_stages.stage_nanos = [1_000, 2_000, 3_000, 4_000, 5_000, 0];
+        with_stages.fast_forwarded_iterations = 17;
         let stages = with_stages.stage_summary().expect("stage data present");
         for label in ["pstate", "phase-sync", "llc-share", "dram-fixed-point"] {
             assert!(stages.contains(label), "{stages}");
         }
         assert!(stages.contains("40 calls"), "{stages}");
+        assert!(stages.contains("fast-forwarded"), "{stages}");
+        assert!(stages.contains("17 solver iterations skipped"), "{stages}");
     }
 
     #[test]
@@ -931,14 +946,26 @@ mod tests {
         assert_eq!(off.stage_invocations, [0; 6], "off by default");
         assert!(off.stage_summary().is_none());
         // Driver stages run once per segment; solver stages once per
-        // fixed-point iteration. The lab's aggregate counters pin both.
+        // *executed* fixed-point iteration. Iterations skipped by the
+        // limit-cycle fast-forward are counted apart, and the two terms
+        // add up to the logical iteration count. The plan has segments
+        // that cycle, so the fast-forward must have fired.
         let seg = on.segments_simulated;
         let fp = on.fp_iterations;
+        let skipped = on.fast_forwarded_iterations;
+        assert!(skipped > 0, "no solve was fast-forwarded");
         assert_eq!(on.stage_invocations[StageId::PState.index()], seg);
         assert_eq!(on.stage_invocations[StageId::PhaseSync.index()], seg);
-        assert_eq!(on.stage_invocations[StageId::LlcShare.index()], fp);
-        assert_eq!(on.stage_invocations[StageId::DramFixedPoint.index()], fp);
+        assert_eq!(
+            on.stage_invocations[StageId::LlcShare.index()] + skipped,
+            fp
+        );
+        assert_eq!(
+            on.stage_invocations[StageId::DramFixedPoint.index()] + skipped,
+            fp
+        );
         assert_eq!(on.stage_invocations[StageId::CounterAccrual.index()], seg);
+        assert_eq!(off.fast_forwarded_iterations, 0, "off by default");
         assert!(on.stage_summary().is_some());
 
         // Cache hits do no stage work: a warm pass leaves counters flat.

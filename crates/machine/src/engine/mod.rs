@@ -8,7 +8,14 @@
 //! miss bandwidth, and effective CPI — is a fixed point, found by damped
 //! iteration: each iteration takes one LLC occupancy step over the
 //! co-runner groups ([`coloc_cachesim::occupancy_step_rates`]) and one
-//! CPI/DRAM update. A segment ends when any application crosses a phase boundary,
+//! CPI/DRAM update, until the CPI residual drops below [`FP_TOLERANCE`]
+//! or the per-segment iteration cap is reached. Many solves never
+//! converge: they settle into a short limit cycle that repeats the
+//! solver state bit for bit. The driver detects the repeat (Brent's power-of-two
+//! checkpoints over the carried state) and skips the cycle's whole
+//! periods up to the cap, executing only the remainder, so the segment
+//! ends in exactly the state the capped plain solve reaches (DESIGN.md
+//! §12). A segment ends when any application crosses a phase boundary,
 //! a co-runner finishes (and restarts, keeping contention pressure constant
 //! — the standard co-location measurement methodology), or the target
 //! completes, which ends the run.
@@ -25,7 +32,8 @@
 //! [`Machine::run`]. The driver can time each stage into a
 //! [`StageProfile`] ([`Machine::run_instrumented`]) or record per-segment
 //! history into a [`SegmentTrace`] ([`Machine::run_traced`]) at zero cost
-//! to plain runs.
+//! to plain runs. Both count the iterations a fast-forward skipped apart
+//! from the executed ones; `fp_iterations` stays the logical total.
 
 mod scratch;
 mod stages;
@@ -181,23 +189,29 @@ impl Default for RunOptions {
     }
 }
 
-/// Whether the contention solver converged within its budget.
+/// Whether every segment's contention fixed point converged.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Convergence {
     /// Every segment's fixed point converged to tolerance.
     Converged,
-    /// The run exhausted its fixed-point budget; later segments used a
-    /// truncated solve. The result is usable but approximate.
+    /// At least one segment's solve stopped at its iteration cap with a
+    /// residual at or above [`FP_TOLERANCE`]. That happens both when an
+    /// unbudgeted solve reaches the full per-segment cap (the damped
+    /// iteration often settles into a limit cycle instead of converging)
+    /// and when an exhausted [`RunOptions::fp_budget`] truncates later
+    /// solves. The result is usable but approximate.
     Degraded {
-        /// Total fixed-point iterations actually spent.
+        /// Logical fixed-point iterations over the whole run, the same
+        /// count as [`RunOutcome::fp_iterations`] (iterations skipped by
+        /// the limit-cycle fast-forward included).
         fp_iterations: u64,
-        /// Worst relative CPI residual among truncated segments.
+        /// Worst relative CPI residual among the capped segments.
         residual: f64,
     },
 }
 
 impl Convergence {
-    /// True when the solver hit its budget.
+    /// True when some segment's solve stopped at its cap unconverged.
     pub fn is_degraded(&self) -> bool {
         matches!(self, Convergence::Degraded { .. })
     }
@@ -214,14 +228,18 @@ pub struct RunOutcome {
     pub segments: usize,
     /// Fixed-point solver iterations summed over all segments — the
     /// engine's unit of simulation work, surfaced for sweep telemetry.
+    /// This is the logical count a plain iteration would take: iterations
+    /// the limit-cycle fast-forward skipped are included (an instrumented
+    /// run reports them apart, see [`StageProfile::fast_forwarded`]).
     pub fp_iterations: u64,
     /// Average LLC share of each group's instances over the run, bytes
     /// (time-weighted).
     pub avg_llc_share_bytes: Vec<f64>,
     /// Time-average DRAM latency seen by the target's misses, ns.
     pub avg_mem_latency_ns: f64,
-    /// Whether every segment's fixed point converged, or the run degraded
-    /// after exhausting [`RunOptions::fp_budget`].
+    /// Whether every segment's fixed point converged, or some segment's
+    /// solve stopped unconverged at its iteration cap (see
+    /// [`Convergence::Degraded`]).
     pub convergence: Convergence,
     /// Measurement faults injected into this outcome (empty for a clean
     /// engine run; populated by [`crate::FaultPlan::apply`]).
@@ -592,9 +610,12 @@ impl Machine {
                     let flow = timed(&mut profile, StageId::DramFixedPoint, || {
                         DramFixedPointStage.run(&env, &mut st)
                     })?;
-                    if flow == StageFlow::SolverDone {
+                    if flow == StageFlow::SolverDone || st.fast_forward_cycle() {
                         break;
                     }
+                }
+                if let Some(p) = profile.as_deref_mut() {
+                    p.record_fast_forward(st.seg_fast_forwarded);
                 }
                 st.fp_iterations += st.seg_iters;
                 if st.seg_residual >= FP_TOLERANCE {
@@ -628,6 +649,7 @@ impl Machine {
                         dt: st.dt,
                         latency_ns: st.latency_ns,
                         fp_iters: st.seg_iters,
+                        fast_forwarded: st.seg_fast_forwarded,
                         residual: st.seg_residual,
                         events: fired.len() as u32,
                         resident_groups: era_wl.len(),
@@ -1224,17 +1246,18 @@ mod tests {
             assert_eq!(a.llc_misses.to_bits(), b.llc_misses.to_bits());
         }
         // Per-segment stages run once per segment; solver stages once per
-        // fixed-point iteration.
+        // executed fixed-point iteration, and the iterations a cycle
+        // fast-forward skipped make up the rest of the logical count.
         let segs = plain.segments as u64;
         assert_eq!(profile.get(StageId::PState).invocations, segs);
         assert_eq!(profile.get(StageId::PhaseSync).invocations, segs);
         assert_eq!(profile.get(StageId::CounterAccrual).invocations, segs);
         assert_eq!(
-            profile.get(StageId::LlcShare).invocations,
+            profile.get(StageId::LlcShare).invocations + profile.fast_forwarded(),
             plain.fp_iterations
         );
         assert_eq!(
-            profile.get(StageId::DramFixedPoint).invocations,
+            profile.get(StageId::DramFixedPoint).invocations + profile.fast_forwarded(),
             plain.fp_iterations
         );
     }

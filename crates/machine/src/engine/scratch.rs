@@ -28,6 +28,19 @@ pub(crate) struct RunScratch {
     pub(crate) mrc_hint: Vec<usize>,
     /// Current phase index and end boundary per group.
     pub(crate) phase_info: Vec<(usize, f64)>,
+    /// Occupancy byte count each group's `miss_rate` was last probed at
+    /// in the current solve (`None` until the first probe; reset per
+    /// segment, since the phase — and so the curve — may change). The
+    /// probe is a pure function of the byte count, so an unchanged count
+    /// reuses `miss_rate` instead of probing again.
+    pub(crate) probed_bytes: Vec<Option<u64>>,
+    /// Bit patterns of the solver's carried state `(cpi, occ, miss_rate)`
+    /// per group at iteration `cycle_mark` of the current solve: the
+    /// checkpoint the limit-cycle detector compares against.
+    pub(crate) cycle_state: Vec<[u64; 3]>,
+    /// Solver iteration the `cycle_state` checkpoint was taken after
+    /// (0 = none yet).
+    pub(crate) cycle_mark: u64,
     /// Per-group stationary rates for the segment being solved.
     pub(crate) ips: Vec<f64>,
     pub(crate) miss_rate: Vec<f64>,
@@ -48,6 +61,9 @@ impl RunScratch {
             ins: vec![0.0; n_groups],
             mrc_hint: vec![0; n_groups],
             phase_info: vec![(0, 0.0); n_groups],
+            probed_bytes: vec![None; n_groups],
+            cycle_state: vec![[0; 3]; n_groups],
+            cycle_mark: 0,
             ips: vec![0.0; n_groups],
             miss_rate: vec![0.0; n_groups],
             access_rate: vec![0.0; n_groups],

@@ -149,9 +149,14 @@ pub struct EpochState {
     /// Per-segment fixed-point iteration cap (set by [`PStateStage`]).
     pub(crate) iter_cap: u64,
     /// Iterations of the current segment's solve, counting the one in
-    /// flight: the driver increments it before each [`LlcShareStage`] run,
-    /// which reuses the previous iteration's probes when it exceeds 1.
+    /// flight: the driver increments it before each [`LlcShareStage`]
+    /// run. A cycle fast-forward advances it without running stages, so
+    /// it is the *logical* count — what a plain iteration would reach.
     pub(crate) seg_iters: u64,
+    /// Iterations of the current segment's solve that the limit-cycle
+    /// fast-forward skipped instead of executing (see
+    /// [`EpochState::fast_forward_cycle`]); 0 for a converged solve.
+    pub(crate) seg_fast_forwarded: u64,
     /// Final relative CPI residual of the current segment's solve (0.0
     /// when converged below [`FP_TOLERANCE`]).
     pub(crate) seg_residual: f64,
@@ -192,6 +197,7 @@ impl EpochState {
             freq_hz,
             iter_cap: 0,
             seg_iters: 0,
+            seg_fast_forwarded: 0,
             seg_residual: 0.0,
             latency_ns: 0.0,
             dt: 0.0,
@@ -203,8 +209,9 @@ impl EpochState {
     }
 
     /// Reset the solver state for a fresh segment: refill occupancies to
-    /// the equal split (same numerics as a fresh allocation) and start
-    /// latency from idle. Driver glue between [`PhaseSyncStage`] and the
+    /// the equal split (same numerics as a fresh allocation), start
+    /// latency from idle, and forget the previous segment's probes and
+    /// cycle checkpoint. Driver glue between [`PhaseSyncStage`] and the
     /// solver loop.
     pub(crate) fn begin_solve(&mut self, env: &SegmentEnv<'_>) {
         let cap = env.spec.llc_bytes;
@@ -213,9 +220,58 @@ impl EpochState {
             .occ
             .iter_mut()
             .for_each(|o| *o = cap as f64 / n_inst as f64);
+        self.scratch.probed_bytes.fill(None);
+        self.scratch.cycle_mark = 0;
         self.latency_ns = env.mem.spec().idle_latency_ns;
         self.seg_iters = 0;
+        self.seg_fast_forwarded = 0;
         self.seg_residual = 0.0;
+    }
+
+    /// Exact limit-cycle fast-forward, called by the driver after every
+    /// solver iteration that did not end the solve. Returns `true` when
+    /// the solve is finished.
+    ///
+    /// Between iterations the solver carries `(cpi, occ, miss_rate)` per
+    /// group; everything else an iteration reads is either recomputed
+    /// before use or constant for the segment. The carried state is
+    /// checkpointed after each power-of-two iteration (Brent's cycle
+    /// detection) and compared bit for bit with the latest checkpoint
+    /// after every iteration. A match at iteration `k` against the
+    /// checkpoint at `j` means the solve has entered an exact cycle of
+    /// period `P = k − j` (`P ≥ 2`: a repeat after one iteration has zero
+    /// residual and converged). No iteration of the cycle converged, so
+    /// the plain solve runs to `iter_cap`, where its state is the state
+    /// `r = (iter_cap − k) mod P` iterations on. The solve therefore
+    /// skips the whole periods in between — `seg_iters` jumps to
+    /// `iter_cap − r` — and the driver executes the remaining `r`
+    /// iterations normally, which end at the cap with the cap
+    /// iteration's state, latency and residual.
+    pub(crate) fn fast_forward_cycle(&mut self) -> bool {
+        let k = self.seg_iters;
+        let s = &mut self.scratch;
+        let carried = |g: usize| {
+            [
+                self.cpi[g].to_bits(),
+                s.occ[g].to_bits(),
+                s.miss_rate[g].to_bits(),
+            ]
+        };
+        let n_groups = s.cycle_state.len();
+        if s.cycle_mark > 0 && (0..n_groups).all(|g| s.cycle_state[g] == carried(g)) {
+            let period = k - s.cycle_mark;
+            let skip = (self.iter_cap - k) / period * period;
+            self.seg_iters += skip;
+            self.seg_fast_forwarded += skip;
+            return self.seg_iters == self.iter_cap;
+        }
+        if k.is_power_of_two() {
+            for g in 0..n_groups {
+                s.cycle_state[g] = carried(g);
+            }
+            s.cycle_mark = k;
+        }
+        false
     }
 
     /// Segments simulated so far (including the one in flight).
@@ -326,14 +382,8 @@ impl EpochStage for LlcShareStage {
             // [`coloc_cachesim::occupancy_step`]. Occupancy has not moved
             // since the previous iteration's closing probe, so after the
             // first iteration of a segment that probe is reused.
-            let reuse = st.seg_iters > 1;
             for gi in 0..n_groups {
-                let miss = if reuse {
-                    st.scratch.miss_rate[gi]
-                } else {
-                    env.mrcs[gi][st.scratch.phase_info[gi].0]
-                        .miss_rate_hinted(st.scratch.occ[gi] as u64, &mut st.scratch.mrc_hint[gi])
-                };
+                let miss = probe_miss_rate(env, &mut st.scratch, gi);
                 st.scratch.ins[gi] = st.scratch.access_rate[gi].max(0.0) * miss.max(1e-9);
             }
             occupancy_step_rates(
@@ -344,12 +394,25 @@ impl EpochStage for LlcShareStage {
             );
         }
         for gi in 0..n_groups {
-            // The hinted probe returns exactly what `miss_rate` would.
-            st.scratch.miss_rate[gi] = env.mrcs[gi][st.scratch.phase_info[gi].0]
-                .miss_rate_hinted(st.scratch.occ[gi] as u64, &mut st.scratch.mrc_hint[gi]);
+            probe_miss_rate(env, &mut st.scratch, gi);
         }
         Ok(StageFlow::Continue)
     }
+}
+
+/// Group `gi`'s miss rate at its current occupancy, stored into
+/// `miss_rate[gi]`. The probe reads only the occupancy's byte count, so
+/// it runs only when that count differs from the one `miss_rate[gi]` was
+/// last probed at this segment; the hinted probe returns exactly what
+/// `miss_rate` would.
+fn probe_miss_rate(env: &SegmentEnv<'_>, s: &mut RunScratch, gi: usize) -> f64 {
+    let bytes = s.occ[gi] as u64;
+    if s.probed_bytes[gi] != Some(bytes) {
+        s.miss_rate[gi] =
+            env.mrcs[gi][s.phase_info[gi].0].miss_rate_hinted(bytes, &mut s.mrc_hint[gi]);
+        s.probed_bytes[gi] = Some(bytes);
+    }
+    s.miss_rate[gi]
 }
 
 /// One DRAM/CPI iteration of the segment fixed point: latency at the
@@ -505,11 +568,15 @@ pub struct StageStats {
 }
 
 /// Per-stage cost counters for an instrumented run: one [`StageStats`]
-/// slot per [`StageId`]. The un-instrumented path pays nothing — the
-/// driver only reads clocks when a profile is attached.
+/// slot per [`StageId`], plus the solver iterations the limit-cycle
+/// fast-forward skipped. Stage invocations count *executed* stage runs,
+/// so `LlcShare` invocations plus [`StageProfile::fast_forwarded`] equal
+/// the run's logical `fp_iterations`. The un-instrumented path pays
+/// nothing — the driver only reads clocks when a profile is attached.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageProfile {
     stats: [StageStats; 6],
+    fast_forwarded: u64,
 }
 
 impl StageProfile {
@@ -525,9 +592,20 @@ impl StageProfile {
         slot.nanos += elapsed.as_nanos() as u64;
     }
 
+    /// Record `iters` solver iterations skipped by a cycle fast-forward.
+    pub(crate) fn record_fast_forward(&mut self, iters: u64) {
+        self.fast_forwarded += iters;
+    }
+
     /// Counters for one stage.
     pub fn get(&self, id: StageId) -> StageStats {
         self.stats[id.index()]
+    }
+
+    /// Solver iterations skipped by the limit-cycle fast-forward: counted
+    /// in the logical `fp_iterations`, but no stage executed them.
+    pub fn fast_forwarded(&self) -> u64 {
+        self.fast_forwarded
     }
 
     /// Fold another profile into this one (sweep aggregation).
@@ -536,6 +614,7 @@ impl StageProfile {
             self.stats[id.index()].invocations += other.stats[id.index()].invocations;
             self.stats[id.index()].nanos += other.stats[id.index()].nanos;
         }
+        self.fast_forwarded += other.fast_forwarded;
     }
 
     /// All stages with their counters, in driver order.
@@ -572,8 +651,12 @@ pub struct SegmentRecord {
     pub dt: f64,
     /// DRAM latency over the segment, ns.
     pub latency_ns: f64,
-    /// Fixed-point iterations the segment's solve took.
+    /// Fixed-point iterations the segment's solve took (logical count,
+    /// fast-forwarded iterations included).
     pub fp_iters: u64,
+    /// Of `fp_iters`, the iterations the limit-cycle fast-forward skipped
+    /// instead of executing.
+    pub fast_forwarded: u64,
     /// Final relative CPI residual (0.0 = converged).
     pub residual: f64,
     /// Scheduled events (arrivals/departures) dispatched when this
@@ -675,6 +758,33 @@ mod tests {
     }
 
     impl Fixture {
+        fn with_workload(
+            spec: MachineSpec,
+            workload: Vec<super::super::RunnerGroup>,
+            opts: RunOptions,
+        ) -> Fixture {
+            let workload: &'static [super::super::RunnerGroup] =
+                Box::leak(workload.into_boxed_slice());
+            let groups: Vec<GroupRef<'static>> =
+                workload.iter().map(GroupRef::from_group).collect();
+            let mrcs = workload
+                .iter()
+                .map(|g| {
+                    g.app
+                        .phases
+                        .iter()
+                        .map(|p| std::sync::Arc::new(PreparedMrc::new(p.mrc())))
+                        .collect()
+                })
+                .collect();
+            Fixture {
+                machine: Machine::new(spec).unwrap(),
+                groups,
+                opts,
+                mrcs,
+            }
+        }
+
         fn new(opts: RunOptions) -> Fixture {
             let target = AppProfile {
                 name: "phased".into(),
@@ -703,26 +813,7 @@ mod tests {
                     count: 2,
                 },
             ];
-            let workload: &'static [super::super::RunnerGroup] =
-                Box::leak(workload.into_boxed_slice());
-            let groups: Vec<GroupRef<'static>> =
-                workload.iter().map(GroupRef::from_group).collect();
-            let mrcs = workload
-                .iter()
-                .map(|g| {
-                    g.app
-                        .phases
-                        .iter()
-                        .map(|p| std::sync::Arc::new(PreparedMrc::new(p.mrc())))
-                        .collect()
-                })
-                .collect();
-            Fixture {
-                machine: Machine::new(presets::xeon_e5649()).unwrap(),
-                groups,
-                opts,
-                mrcs,
-            }
+            Fixture::with_workload(presets::xeon_e5649(), workload, opts)
         }
 
         fn env(&self) -> SegmentEnv<'_> {
@@ -943,6 +1034,207 @@ mod tests {
         );
     }
 
+    /// One-group-per-app workload: `target` solo plus `count` co-runners.
+    fn pair(target: AppPhase, co: AppPhase, count: usize) -> Vec<super::super::RunnerGroup> {
+        vec![
+            super::super::RunnerGroup::solo(AppProfile::single_phase("t", 100e9, target)),
+            super::super::RunnerGroup {
+                app: AppProfile::single_phase("co", 100e9, co),
+                count,
+            },
+        ]
+    }
+
+    /// Two segment solves that reach the iteration cap in an exact limit
+    /// cycle: an LLC-resident target against three co-runners whose
+    /// working sets are a few × the LLC (the occupancy split cycles), and
+    /// a partitioned LLC over a starved memory channel (the damped CPI /
+    /// DRAM-latency update cycles on its own).
+    fn cycling_fixtures() -> Vec<Fixture> {
+        let phase = |span, alpha, p_new, api, cpi, mlp| AppPhase {
+            weight: 1.0,
+            dist: StackDistanceDist::power_law(span, alpha, p_new),
+            accesses_per_instr: api,
+            cpi_base: cpi,
+            mlp,
+        };
+        let shared = Fixture::with_workload(
+            presets::xeon_e5649(),
+            pair(
+                phase(150_000, 1.20, 0.004, 0.050, 0.75, 3.0),
+                phase(600_000, 0.90, 0.010, 0.022, 0.95, 4.0),
+                3,
+            ),
+            RunOptions::default(),
+        );
+        let mut starved = presets::xeon_e5649();
+        starved.dram.peak_bw_bytes_per_sec = 2e9;
+        let streamer = phase(4_000_000, 0.3, 0.2, 0.03, 0.5, 2.0);
+        let partitioned = Fixture::with_workload(
+            starved,
+            pair(streamer.clone(), streamer, 3),
+            RunOptions {
+                llc_partitioned: true,
+                ..Default::default()
+            },
+        );
+        vec![shared, partitioned]
+    }
+
+    /// Bit patterns the solver carries between iterations, plus the
+    /// iteration's latency and residual.
+    fn solver_bits(st: &EpochState) -> Vec<u64> {
+        let mut bits: Vec<u64> = (0..st.cpi.len())
+            .flat_map(|g| [st.cpi[g], st.scratch.occ[g], st.scratch.miss_rate[g]])
+            .map(f64::to_bits)
+            .collect();
+        bits.extend([st.latency_ns.to_bits(), st.seg_residual.to_bits()]);
+        bits
+    }
+
+    #[test]
+    fn cycle_fast_forward_lands_on_the_capped_state() {
+        for fx in cycling_fixtures() {
+            let env = fx.env();
+            let start = |fx: &Fixture| {
+                let mut st = fx.state();
+                PStateStage.run(&env, &mut st).unwrap();
+                PhaseSyncStage.run(&env, &mut st).unwrap();
+                st.begin_solve(&env);
+                st
+            };
+            let cap = MAX_FP_ITERS;
+
+            // The plain solve, every iteration executed: `hist[k]` is the
+            // state after iteration k.
+            let mut st = start(&fx);
+            let mut hist = vec![Vec::new()];
+            loop {
+                st.seg_iters += 1;
+                LlcShareStage.run(&env, &mut st).unwrap();
+                let flow = DramFixedPointStage.run(&env, &mut st).unwrap();
+                hist.push(solver_bits(&st));
+                if flow == StageFlow::SolverDone {
+                    break;
+                }
+            }
+            assert_eq!(st.seg_iters, cap, "fixture must reach the cap");
+
+            // Its exact cycle, by brute force over carried states: first
+            // entered after iteration `mu`, period `period`.
+            let n = 3 * fx.groups.len();
+            let (mu, period) = (2..=cap as usize)
+                .find_map(|k| {
+                    (1..k)
+                        .find(|&i| hist[i][..n] == hist[k][..n])
+                        .map(|i| (i, k - i))
+                })
+                .expect("fixture must cycle");
+            assert!(period >= 2, "a one-iteration repeat has converged");
+            // Brent's checkpoint for iteration k is the largest power of
+            // two below k; the first match is the detection point.
+            let (k, j) = (2..cap as usize)
+                .map(|k| (k, 1usize << (usize::BITS - 1 - (k - 1).leading_zeros())))
+                .find(|&(k, j)| j >= mu && (k - j) % period == 0)
+                .expect("cycle detected before the cap");
+            let skip = ((cap as usize - k) / (k - j) * (k - j)) as u64;
+            assert!(skip > 0);
+
+            // The fast-forwarded solve detects the cycle at iteration `k`
+            // against the checkpoint at `j`, executes `cap - skip`
+            // iterations and ends in the cap iteration's exact state.
+            let mut st = start(&fx);
+            let mut executed = 0u64;
+            let mut detected = None;
+            loop {
+                st.seg_iters += 1;
+                executed += 1;
+                LlcShareStage.run(&env, &mut st).unwrap();
+                if DramFixedPointStage.run(&env, &mut st).unwrap() == StageFlow::SolverDone {
+                    break;
+                }
+                let iter = st.seg_iters;
+                let done = st.fast_forward_cycle();
+                if st.seg_iters != iter {
+                    assert!(detected.is_none(), "one jump per solve");
+                    detected = Some((iter as usize, st.scratch.cycle_mark as usize));
+                }
+                if done {
+                    break;
+                }
+            }
+            assert_eq!(detected, Some((k, j)), "Brent detection point");
+            assert_eq!(st.seg_iters, cap, "logical count reaches the cap");
+            assert_eq!(st.seg_fast_forwarded, skip);
+            assert_eq!(executed + st.seg_fast_forwarded, cap);
+            assert_eq!(solver_bits(&st), hist[cap as usize]);
+        }
+    }
+
+    #[test]
+    fn cycle_match_needs_the_whole_carried_state() {
+        let fx = Fixture::new(RunOptions::default());
+        let env = fx.env();
+        // A state checkpointed after iteration 2 and revisited at
+        // iteration 4, with one carried component optionally nudged by
+        // one ulp.
+        let armed = |nudge: Option<(usize, usize)>| {
+            let mut st = fx.state();
+            PStateStage.run(&env, &mut st).unwrap();
+            PhaseSyncStage.run(&env, &mut st).unwrap();
+            st.begin_solve(&env);
+            for _ in 0..2 {
+                st.seg_iters += 1;
+                LlcShareStage.run(&env, &mut st).unwrap();
+                DramFixedPointStage.run(&env, &mut st).unwrap();
+            }
+            assert!(!st.fast_forward_cycle());
+            assert_eq!(st.scratch.cycle_mark, 2);
+            st.seg_iters = 4;
+            if let Some((part, g)) = nudge {
+                let x = match part {
+                    0 => &mut st.cpi[g],
+                    1 => &mut st.scratch.occ[g],
+                    _ => &mut st.scratch.miss_rate[g],
+                };
+                *x = f64::from_bits(x.to_bits() ^ 1);
+            }
+            st
+        };
+        for part in 0..3 {
+            for g in 0..fx.groups.len() {
+                let mut st = armed(Some((part, g)));
+                assert!(!st.fast_forward_cycle(), "component {part} of group {g}");
+                assert_eq!((st.seg_iters, st.seg_fast_forwarded), (4, 0));
+            }
+        }
+        // The exact repeat has period 2: skip every whole period up to
+        // the cap, which lands on it.
+        let mut st = armed(None);
+        assert!(st.fast_forward_cycle());
+        assert_eq!((st.seg_iters, st.seg_fast_forwarded), (250, 246));
+    }
+
+    #[test]
+    fn converging_solves_never_fast_forward() {
+        let fx = Fixture::new(RunOptions::default());
+        let env = fx.env();
+        let mut st = fx.state();
+        PStateStage.run(&env, &mut st).unwrap();
+        PhaseSyncStage.run(&env, &mut st).unwrap();
+        st.begin_solve(&env);
+        loop {
+            st.seg_iters += 1;
+            LlcShareStage.run(&env, &mut st).unwrap();
+            let flow = DramFixedPointStage.run(&env, &mut st).unwrap();
+            if flow == StageFlow::SolverDone || st.fast_forward_cycle() {
+                break;
+            }
+        }
+        assert!(st.seg_iters < MAX_FP_ITERS && st.seg_residual == 0.0);
+        assert_eq!(st.seg_fast_forwarded, 0);
+    }
+
     #[test]
     fn counter_accrual_stage_advances_and_completes() {
         let fx = Fixture::new(RunOptions::default());
@@ -1045,6 +1337,7 @@ mod tests {
                 dt: i as f64,
                 latency_ns: 60.0,
                 fp_iters: 2,
+                fast_forwarded: 0,
                 residual: 0.0,
                 events: 0,
                 resident_groups: 2,
